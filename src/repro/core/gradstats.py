@@ -175,12 +175,22 @@ class GradStats:
                 cos_min=0.0, cos_max=0.0, conflict_fraction=0.0,
             )
             return sample
-        # Scalar Python over the cached K×K cosine: for the small K this
+        # Scalar Python over the cached Gram and norms: for the small K this
         # runs at (K ≤ 16 across the paper's benchmarks), plain float math
         # beats the dispatch cost of a dozen tiny numpy ops — this is a
-        # per-step hot path when dynamics recording is on.
-        rows = self.cosine.tolist()
-        cosines = [rows[i][j] for i in range(num_tasks) for j in range(i + 1, num_tasks)]
+        # per-step hot path when dynamics recording is on.  The float ops
+        # are `cosine`'s own (g_ij / (n_i·n_j), dead rows 0, clamped), so
+        # the values are bitwise equal to reading that matrix.
+        gram = self.gram.tolist()
+        norms = self.norms.tolist()
+        nonzero = self.nonzero.tolist()
+        cosines = [
+            min(max(gram[i][j] / (norms[i] * norms[j]), -1.0), 1.0)
+            if nonzero[i] and nonzero[j]
+            else 0.0
+            for i in range(num_tasks)
+            for j in range(i + 1, num_tasks)
+        ]
         # cos < 0 ⇔ gram < 0 for nonzero pairs, and dead rows/columns are
         # exactly 0 — so this matches `conflict_mask` without forcing it.
         conflicts = sum(1 for c in cosines if c < 0.0)
@@ -201,8 +211,19 @@ class GradStats:
         pairs = num_tasks * (num_tasks - 1) // 2
         if pairs == 0:
             return 0, 0
-        upper = self.conflict_mask[np.triu_indices(num_tasks, k=1)]
-        return pairs, int(np.count_nonzero(upper))
+        # Scalar Python over the K×K Gram, like `snapshot`: at the small K
+        # of the paper's benchmarks this beats a dozen tiny numpy calls on
+        # a path that runs every step with telemetry on.
+        gram = self.gram.tolist()
+        nonzero = self.nonzero.tolist()
+        conflicts = sum(
+            1
+            for i in range(num_tasks)
+            if nonzero[i]
+            for j in range(i + 1, num_tasks)
+            if nonzero[j] and gram[i][j] < 0.0
+        )
+        return pairs, conflicts
 
     def __repr__(self) -> str:
         computed = [

@@ -21,6 +21,10 @@ Design notes
   the operand shape via :func:`unbroadcast`.
 - ``no_grad`` disables graph construction for evaluation loops and optimizer
   arithmetic.
+- A ``grad_fn`` never captures its own output tensor, only its parents and
+  plain arrays: an ``out -> grad_fn -> out`` reference cycle would leave the
+  graph (and every activation upstream of it) to the cyclic garbage
+  collector instead of freeing it as soon as the last reference drops.
 """
 
 from __future__ import annotations
@@ -429,9 +433,10 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         """Elementwise exponential (inputs clipped to ±700 for stability)."""
-        out = self._make_child(np.exp(np.clip(self.data, -700.0, 700.0)), (self,), "exp")
+        value = np.exp(np.clip(self.data, -700.0, 700.0))
+        out = self._make_child(value, (self,), "exp")
         if out.requires_grad:
-            out._grad_fn = lambda g: (g * out.data,)
+            out._grad_fn = lambda g: (g * value,)
         return out
 
     def log(self) -> "Tensor":
@@ -448,9 +453,10 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out = self._make_child(np.tanh(self.data), (self,), "tanh")
+        value = np.tanh(self.data)
+        out = self._make_child(value, (self,), "tanh")
         if out.requires_grad:
-            out._grad_fn = lambda g: (g * (1.0 - out.data**2),)
+            out._grad_fn = lambda g: (g * (1.0 - value**2),)
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -458,7 +464,7 @@ class Tensor:
         value = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
         out = self._make_child(value, (self,), "sigmoid")
         if out.requires_grad:
-            out._grad_fn = lambda g: (g * out.data * (1.0 - out.data),)
+            out._grad_fn = lambda g: (g * value * (1.0 - value),)
         return out
 
     def relu(self) -> "Tensor":

@@ -382,6 +382,11 @@ class MTLTrainer:
         self._step_timeout = step_timeout
         #: parent-owned shared-memory block (parallel mode), or None
         self.shared_buffers: SharedArenaBuffers | None = None
+        # The balanced (shared) partition and its width, fixed for the
+        # trainer's life: the arena packs exactly this set, so re-walking
+        # the module tree every step would only recompute it.
+        self._shared = model.shared_parameters()
+        self._shared_dim = sum(p.size for p in self._shared)
         #: the contiguous parameter arena (None when ``use_arena=False`` or
         #: the model's existing packing could not be reused)
         if self.parallel:
@@ -406,11 +411,11 @@ class MTLTrainer:
                 self.shared_buffers = None
                 raise
         else:
-            self.arena = _build_arena(model, model.shared_parameters()) if use_arena else None
+            self.arena = _build_arena(model, self._shared) if use_arena else None
         # Flat view of the shared partition's gradients (the zero-copy
         # (d_shared,) slice the balancer path reads/writes), when contiguous.
         self._shared_grad_view = (
-            self.arena.grad_segment(model.shared_parameters()) if self.arena is not None else None
+            self.arena.grad_segment(self._shared) if self.arena is not None else None
         )
         self.optimizer = _make_optimizer(
             optimizer, self.arena if self.arena is not None else model.parameters(), lr, step_mode
@@ -500,6 +505,11 @@ class MTLTrainer:
                 self._grad_workspaces.pop(next(iter(self._grad_workspaces)))
             self._grad_workspaces[dim] = workspace = np.empty((len(self.tasks), dim))
         return workspace
+
+    def _train_mode(self) -> None:
+        """Put the model in training mode, walking its tree only if needed."""
+        if not self.model.training:
+            self.model.train()
 
     def _zero_grad(self) -> None:
         """Clear all model gradients — one buffer fill on the arena path."""
@@ -690,8 +700,8 @@ class MTLTrainer:
         """One step in single-input mode; returns per-task loss values."""
         telemetry = self.telemetry
         with telemetry.span("step", **self._step_labels):
-            self.model.train()
-            shared = self.model.shared_parameters()
+            self._train_mode()
+            shared = self._shared
             if self.accumulate_steps == 1 or self._micro_steps == 0:
                 self._zero_grad()
 
@@ -708,7 +718,7 @@ class MTLTrainer:
                         for task in self.tasks
                     ]
                     losses = np.array([loss.item() for loss in loss_tensors])
-                grads = self._workspace(sum(p.size for p in shared))
+                grads = self._workspace(self._shared_dim)
                 with telemetry.span("backward"):
                     self._collect_param_grads(loss_tensors, shared, grads, telemetry)
                 self._resolve_or_accumulate(grads, losses, shared, telemetry)
@@ -764,8 +774,8 @@ class MTLTrainer:
         """One step in multi-input mode; ``batches[task] = (inputs, targets)``."""
         telemetry = self.telemetry
         with telemetry.span("step", **self._step_labels):
-            self.model.train()
-            shared = self.model.shared_parameters()
+            self._train_mode()
+            shared = self._shared
             if self.accumulate_steps == 1 or self._micro_steps == 0:
                 self._zero_grad()
             losses = np.empty(len(self.tasks))
@@ -777,7 +787,7 @@ class MTLTrainer:
                     loss = task.loss_fn(output, targets)
                     loss_tensors.append(loss)
                     losses[k] = loss.item()
-            grads = self._workspace(sum(p.size for p in shared))
+            grads = self._workspace(self._shared_dim)
             with telemetry.span("backward"):
                 self._collect_param_grads(loss_tensors, shared, grads, telemetry)
             self._resolve_or_accumulate(grads, losses, shared, telemetry)
@@ -850,14 +860,14 @@ class MTLTrainer:
         Returns a fresh ``(K, d)`` matrix (not the trainer's step
         workspace) — callers are free to keep it across calls.
         """
-        self.model.train()
-        shared = self.model.shared_parameters()
+        self._train_mode()
+        shared = self._shared
         self._zero_grad()
         outputs = self.model.forward_all(inputs)
         loss_tensors = [
             task.loss_fn(outputs[task.name], targets[task.name]) for task in self.tasks
         ]
-        grads = np.empty((len(self.tasks), sum(p.size for p in shared)))
+        grads = np.empty((len(self.tasks), self._shared_dim))
         # Inspection path: no step is running, so spans stay out of the
         # step/backward accounting.
         self._collect_param_grads(loss_tensors, shared, grads, NULL_TELEMETRY)
@@ -992,9 +1002,9 @@ class MTLTrainer:
         :class:`~repro.parallel.WorkerCrashed` if a worker dies mid-step.
         """
         telemetry = self.telemetry
-        shared = self.model.shared_parameters()
+        shared = self._shared
         with telemetry.span("step", **self._step_labels):
-            self.model.train()
+            self._train_mode()
             with telemetry.span("dispatch"):
                 executor.dispatch(
                     self.step_count, np.ascontiguousarray(batch_indices, dtype=np.int64)
@@ -1008,7 +1018,7 @@ class MTLTrainer:
                     telemetry.gauge("parallel_worker_utilization", worker=str(worker)).set(
                         min(busy / wait_wall, 1.0)
                     )
-            grads = self._workspace(sum(p.size for p in shared))
+            grads = self._workspace(self._shared_dim)
             losses = np.empty(len(self.tasks))
             with telemetry.span("reduce"):
                 executor.reduce(

@@ -84,6 +84,53 @@ class TestSemantics:
         assert out.data.dtype == np.float64
 
 
+class TestFusedOps:
+    """The single-node primitives on the serving path."""
+
+    @staticmethod
+    def _fused_outputs(rng, integer_rows):
+        from repro.nn import functional as F
+
+        weight = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        bias = Tensor(rng.standard_normal(3), requires_grad=True)
+        hidden = F.linear(integer_rows, weight, bias)
+        labels = np.array([0, 2])
+        return {
+            "linear": hidden,
+            "linear_no_bias": F.linear(integer_rows, weight),
+            "mse_loss": F.mse_loss(hidden, np.arange(6).reshape(2, 3)),
+            "bce_with_logits": F.bce_with_logits(hidden, np.ones((2, 3), dtype=np.int64)),
+            "cross_entropy": F.cross_entropy(hidden, labels),
+        }
+
+    def test_no_graph_state(self, rng):
+        rows = Tensor(rng.integers(0, 5, size=(2, 4)), requires_grad=True)
+        with inference_mode():
+            outputs = self._fused_outputs(rng, rows)
+        for name, out in outputs.items():
+            assert out.requires_grad is False, name
+            assert out._grad_fn is None, name
+            assert out._prev == (), name
+            assert out._ctx is None, name
+            assert out._op == "", name
+
+    def test_float64_for_integer_tabular_inputs(self, rng):
+        rows = rng.integers(0, 5, size=(2, 4))
+        with inference_mode():
+            outputs = self._fused_outputs(rng, rows)
+        for name, out in outputs.items():
+            assert type(out.data) is np.ndarray, name
+            assert out.data.dtype == np.float64, name
+
+    def test_matches_graph_forward_bitwise(self, rng):
+        rows = rng.integers(0, 5, size=(2, 4))
+        graph = self._fused_outputs(np.random.default_rng(3), rows)
+        with inference_mode():
+            fast = self._fused_outputs(np.random.default_rng(3), rows)
+        for name in graph:
+            np.testing.assert_array_equal(fast[name].data, graph[name].data)
+
+
 class TestThreadLocality:
     def test_flags_are_per_thread(self, model, rng):
         # A serving worker inside inference_mode must not flip the switches

@@ -1,5 +1,7 @@
 """Tests for the multi-task trainer: gradient collection, modes, equivalences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.balancers import EqualWeighting
 from repro.core import MoCoGrad, create_balancer
 from repro.data import MULTI_INPUT, SINGLE_INPUT, ArrayDataset, TaskSpec
 from repro.nn import Tensor
-from repro.nn.functional import mse_loss
+from repro.nn.functional import bce_with_logits, mse_loss
 from repro.nn.utils import parameter_vector
 from repro.training import MTLTrainer
 
@@ -226,3 +228,52 @@ class TestTraining:
         x, targets = dataset.batch(np.arange(8))
         reported = trainer.train_step_single(x, targets)
         np.testing.assert_allclose(captured[0], reported)
+
+
+class TestStepGlue:
+    """Per-step trainer work that does not depend on the batch."""
+
+    def _trainer(self, rng, loss_fn=mse_loss):
+        dataset, tasks = make_problem(rng)
+        tasks = [replace(task, loss_fn=loss_fn) for task in tasks]
+        model = make_model(rng, tasks)
+        trainer = MTLTrainer(model, tasks, create_balancer("mocograd", seed=0), seed=0)
+        inputs, targets = dataset.batch(np.arange(16))
+        return trainer, inputs, targets
+
+    def test_step_does_not_rewalk_the_module_tree(self, rng, monkeypatch):
+        trainer, inputs, targets = self._trainer(rng)
+        trainer.train_step_single(inputs, targets)
+        calls = {"modules": 0, "shared_parameters": 0}
+        model = trainer.model
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(model, name, counted)
+        trainer.train_step_single(inputs, targets)
+        trainer.task_gradients(inputs, targets)
+        assert calls == {"modules": 0, "shared_parameters": 0}
+
+    def test_step_restores_training_mode(self, rng):
+        trainer, inputs, targets = self._trainer(rng)
+        trainer.model.eval()
+        trainer.train_step_single(inputs, targets)
+        assert all(module.training for module in trainer.model.modules())
+
+    def test_step_leaves_no_reference_cycles(self, rng):
+        import gc
+
+        trainer, inputs, targets = self._trainer(rng, loss_fn=bce_with_logits)
+        targets = {name: (values > 0).astype(np.float64) for name, values in targets.items()}
+        trainer.train_step_single(inputs, targets)
+        gc.collect()
+        gc.disable()
+        try:
+            trainer.train_step_single(inputs, targets)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
