@@ -20,18 +20,40 @@ Quick start::
     print(trainer.evaluate(bench.test))
 """
 
-from . import analysis, arch, balancers, core, data, experiments, metrics, nn, obs, serve, training
-from .core import (
-    GradientBalancer,
-    GradStats,
-    MoCoGrad,
-    available_balancers,
-    create_balancer,
-    gradient_conflict_degree,
-    pairwise_gcd,
-    task_conflict_intensity,
+import importlib
+
+#: Subpackages, imported the first time they are accessed as attributes.
+_SUBPACKAGES = frozenset(
+    {
+        "analysis",
+        "arch",
+        "balancers",
+        "core",
+        "data",
+        "experiments",
+        "metrics",
+        "nn",
+        "obs",
+        "parallel",
+        "serve",
+        "training",
+    }
 )
-from .training import MTLTrainer, train_stl, train_stl_all
+
+#: Re-exported name → subpackage it comes from.
+_EXPORTS = {
+    "GradientBalancer": "core",
+    "GradStats": "core",
+    "MoCoGrad": "core",
+    "available_balancers": "core",
+    "create_balancer": "core",
+    "gradient_conflict_degree": "core",
+    "pairwise_gcd": "core",
+    "task_conflict_intensity": "core",
+    "MTLTrainer": "training",
+    "train_stl": "training",
+    "train_stl_all": "training",
+}
 
 __version__ = "1.0.0"
 
@@ -60,3 +82,22 @@ __all__ = [
     "train_stl_all",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage or re-exported name on first access (PEP 562).
+
+    ``import repro`` loads nothing beyond this file; a process pays only
+    for the subpackages it touches.
+    """
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

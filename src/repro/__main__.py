@@ -32,24 +32,25 @@ import sys
 import time
 
 from . import obs
-from .analysis import (
-    architecture_sweep,
-    backward_time_study,
-    convergence_curves,
-    lambda_sensitivity,
-    task_interference_curve,
-    tci_gcd_correlation,
-)
-from .experiments import METHODS, REGISTRY, format_percent, format_table
+
+#: Ids of ``repro.experiments.REGISTRY``, spelled out so that building the
+#: parser (``report``, ``serve``, ``train``, ``--help``) does not import the
+#: experiment harness.
+TABLE_IDS = ("fig5", "table1", "table2", "table3", "table4")
 
 
 def _run_table(identifier: str, preset: str, methods) -> str:
+    from .experiments import REGISTRY
+
     module, _ = REGISTRY[identifier]
     result = module.run(preset=preset, methods=methods)
     return module.format_result(result)
 
 
 def _run_fig1(preset: str, methods) -> str:
+    from .analysis import task_interference_curve
+    from .experiments import format_table
+
     rows = []
     for architecture in ("hps", "mmoe"):
         curve = task_interference_curve(architecture=architecture, relatedness=0.05)
@@ -59,6 +60,9 @@ def _run_fig1(preset: str, methods) -> str:
 
 
 def _run_fig2(preset: str, methods) -> str:
+    from .analysis import tci_gcd_correlation
+    from .experiments import format_table
+
     result = tci_gcd_correlation()
     rows = list(zip(result["cosine"], result["gcd"], result["tci"]))
     table = format_table(["True task cosine", "mean GCD", "TCI"], rows, title="Fig. 2")
@@ -66,6 +70,9 @@ def _run_fig2(preset: str, methods) -> str:
 
 
 def _run_fig6(preset: str, methods) -> str:
+    from .analysis import convergence_curves
+    from .experiments import format_table
+
     result = convergence_curves(methods=methods)
     headers = ["Method"] + [f"epoch{i + 1}" for i in range(result["epochs"])]
     rows = [[m] + list(c["average"]) for m, c in result["curves"].items()]
@@ -73,12 +80,18 @@ def _run_fig6(preset: str, methods) -> str:
 
 
 def _run_fig7(preset: str, methods) -> str:
+    from .analysis import architecture_sweep
+    from .experiments import format_percent, format_table
+
     result = architecture_sweep()
     rows = [[arch, format_percent(d)] for arch, d in result["delta_m"].items()]
     return format_table(["Architecture", "ΔM"], rows, title="Fig. 7")
 
 
 def _run_fig8(preset: str, methods) -> str:
+    from .analysis import backward_time_study
+    from .experiments import format_table
+
     result = backward_time_study(methods=methods)
     backward = result["backward_seconds_per_step"]
     rows = [
@@ -91,6 +104,9 @@ def _run_fig8(preset: str, methods) -> str:
 
 
 def _run_fig9(preset: str, methods) -> str:
+    from .analysis import lambda_sensitivity
+    from .experiments import format_table
+
     result = lambda_sensitivity()
     rows = list(zip(result["lambda"], result["avg_accuracy"]))
     return format_table(["λ", "Avg ACC"], rows, title="Fig. 9", float_digits=3)
@@ -269,7 +285,7 @@ def _run_train(args) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    experiments = sorted(set(REGISTRY) | set(ANALYSIS_RUNNERS))
+    experiments = sorted(set(TABLE_IDS) | set(ANALYSIS_RUNNERS))
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures of the MoCoGrad paper.",
@@ -384,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
+        from .experiments import REGISTRY
+
         for identifier in experiments:
             label = REGISTRY[identifier][1] if identifier in REGISTRY else "analysis figure"
             print(f"{identifier:8s} {label}")
@@ -420,15 +438,18 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
     try:
-        methods = tuple(args.methods.split(",")) if args.methods else METHODS
         if args.experiment == "serve":
             print(_run_serve(args))
         elif args.experiment == "train":
             print(_run_train(args))
-        elif args.experiment in REGISTRY:
-            print(_run_table(args.experiment, args.preset, methods))
         else:
-            print(ANALYSIS_RUNNERS[args.experiment](args.preset, methods))
+            from .experiments import METHODS
+
+            methods = tuple(args.methods.split(",")) if args.methods else METHODS
+            if args.experiment in TABLE_IDS:
+                print(_run_table(args.experiment, args.preset, methods))
+            else:
+                print(ANALYSIS_RUNNERS[args.experiment](args.preset, methods))
     finally:
         if sink is not None:
             obs.configure_sinks([])

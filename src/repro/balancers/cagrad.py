@@ -20,7 +20,6 @@ as in the reference implementation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.balancer import GradientBalancer, register_balancer
 
@@ -50,6 +49,8 @@ class CAGrad(GradientBalancer):
         self.rescale = rescale
 
     def balance(self, grads: np.ndarray, losses: np.ndarray) -> np.ndarray:
+        from scipy.optimize import minimize
+
         grads, _ = self._check_inputs(grads, losses)
         num_tasks = grads.shape[0]
         average = grads.mean(axis=0)

@@ -21,7 +21,6 @@ combined gradient can be norm-capped (``max_norm``).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..core.balancer import GradientBalancer, register_balancer
 
@@ -37,6 +36,10 @@ def solve_nash_weights(gram: np.ndarray, max_iter: int = 40) -> np.ndarray:
     positivity bound; falls back to uniform weights when the gradient matrix
     is degenerate.
     """
+    # Imported outside the ``try`` so a missing scipy raises instead of
+    # silently falling back to ``alpha0``.
+    from scipy.optimize import least_squares
+
     num_tasks = gram.shape[0]
     diag = np.clip(np.diag(gram), _EPS, None)
     # Initialize from the decoupled solution α_k = 1/‖g_k‖.

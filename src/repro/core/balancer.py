@@ -233,15 +233,27 @@ def register_balancer(name: str):
     return decorator
 
 
+def _registry() -> dict[str, Callable[..., GradientBalancer]]:
+    """The registry with every built-in balancer in it.
+
+    The baselines register themselves when :mod:`repro.balancers` is
+    imported, which nothing else guarantees has happened yet.
+    """
+    from .. import balancers  # noqa: F401
+
+    return _REGISTRY
+
+
 def create_balancer(name: str, **kwargs) -> GradientBalancer:
     """Instantiate a registered balancer by name (e.g. ``"mocograd"``)."""
+    registry = _registry()
     try:
-        factory = _REGISTRY[name]
+        factory = registry[name]
     except KeyError:
-        raise KeyError(f"unknown balancer {name!r}; available: {sorted(_REGISTRY)}") from None
+        raise KeyError(f"unknown balancer {name!r}; available: {sorted(registry)}") from None
     return factory(**kwargs)
 
 
 def available_balancers() -> list[str]:
     """Names of all registered balancers, sorted."""
-    return sorted(_REGISTRY)
+    return sorted(_registry())

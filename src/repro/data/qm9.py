@@ -33,7 +33,8 @@ QM9's task-conflict structure.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..arch.encoders import GCNEncoder
@@ -43,6 +44,9 @@ from ..metrics.regression import mae, rmse
 from ..nn.functional import mse_loss
 from ..nn.graph import normalize_adjacency
 from .base import MULTI_INPUT, ArrayDataset, Benchmark, TaskSpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PROPERTIES", "make_qm9", "generate_molecule", "molecule_properties"]
 
@@ -59,6 +63,8 @@ def generate_molecule(rng: np.random.Generator, min_atoms: int = 4, max_atoms: i
     Grown by random attachment with a valence cap of 4 on every node, then
     0–2 ring-closing edges added where the cap allows.
     """
+    import networkx as nx
+
     n = int(rng.integers(min_atoms, max_atoms + 1))
     graph = nx.Graph()
     graph.add_node(0)
@@ -81,6 +87,8 @@ def generate_molecule(rng: np.random.Generator, min_atoms: int = 4, max_atoms: i
 
 def molecule_properties(graph: nx.Graph) -> np.ndarray:
     """The 11 raw graph invariants described in the module docstring."""
+    import networkx as nx
+
     n = graph.number_of_nodes()
     degrees = np.array([d for _, d in graph.degree()], dtype=np.float64)
     types = np.array([graph.nodes[v]["atom_type"] for v in graph.nodes])
@@ -116,6 +124,8 @@ def molecule_properties(graph: nx.Graph) -> np.ndarray:
 
 def _pad_graphs(graphs: list[nx.Graph]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense padded batch: node features, normalized adjacency, node mask."""
+    import networkx as nx
+
     batch = len(graphs)
     features = np.zeros((batch, _MAX_NODES, _NUM_ATOM_TYPES + 1))
     adjacency = np.zeros((batch, _MAX_NODES, _MAX_NODES))

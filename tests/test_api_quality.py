@@ -26,6 +26,10 @@ PACKAGES = [
     "repro.obs",
 ]
 
+#: Packages already listed as children of ``repro``: only their submodules are
+#: added, so each package keeps a single, unsuffixed test id.
+NESTED_PACKAGES = ["repro.serve", "repro.parallel"]
+
 
 def iter_modules():
     for package_name in PACKAGES:
@@ -34,6 +38,10 @@ def iter_modules():
         if hasattr(package, "__path__"):
             for info in pkgutil.iter_modules(package.__path__):
                 yield importlib.import_module(f"{package_name}.{info.name}")
+    for package_name in NESTED_PACKAGES:
+        package = importlib.import_module(package_name)
+        for info in pkgutil.iter_modules(package.__path__):
+            yield importlib.import_module(f"{package_name}.{info.name}")
 
 
 ALL_MODULES = list(iter_modules())

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.__main__ import ANALYSIS_RUNNERS, main
+from repro.__main__ import ANALYSIS_RUNNERS, TABLE_IDS, main
+from repro.experiments import REGISTRY
 
 
 class TestCLI:
@@ -13,6 +14,9 @@ class TestCLI:
             assert identifier in out
         for identifier in ANALYSIS_RUNNERS:
             assert identifier in out
+
+    def test_table_ids_match_experiment_registry(self):
+        assert sorted(TABLE_IDS) == sorted(REGISTRY)
 
     def test_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
